@@ -10,11 +10,18 @@ from-scratch analyzer built on the stdlib :mod:`ast`:
 
 * :mod:`repro.analysis.core` — findings, the rule registry, inline
   ``# repro: allow(<rule>) -- rationale`` suppressions, baseline
-  handling, and the per-file driver;
-* :mod:`repro.analysis.rules` — the V²FS rules (``vfs-boundary``,
-  ``crash-hygiene``, ``proof-determinism``, ``failpoint-names``,
-  ``typed-errors``);
-* :mod:`repro.analysis.reporters` — stable human and JSON output;
+  handling, the driver, and the one fixpoint solver the
+  interprocedural rules share;
+* :mod:`repro.analysis.rules` — the per-module V²FS rules
+  (``vfs-boundary``, ``crash-hygiene``, ``proof-determinism``,
+  ``failpoint-names``, ``obs-naming``, ``typed-errors``);
+* :mod:`repro.analysis.concurrency` — the whole-program index and
+  ``lock-order``, ``guarded-by``;
+* :mod:`repro.analysis.dataflow` — ``verify-before-use`` and
+  ``blocking-effect``;
+* :mod:`repro.analysis.ownership` — ``thread-confinement``,
+  ``loop-blocking``, ``must-release``;
+* :mod:`repro.analysis.reporters` — stable text, JSON and SARIF output;
 * :mod:`repro.analysis.cli` — ``python -m repro lint``.
 
 Each rule documents the paper invariant it protects; see DESIGN.md

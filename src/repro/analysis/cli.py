@@ -1,9 +1,11 @@
 """``python -m repro lint`` — run the invariant checker.
 
 Exit codes: 0 clean (warnings allowed unless ``--strict``), 1 findings,
-2 usage errors (bad baseline file, no inputs).  The ``lint`` subparser
-itself is declared here and mounted by :mod:`repro.cli`, so the
-analyzer stays importable without the rest of the CLI.
+2 usage errors (bad baseline file, no inputs) or an analysis that could
+not reach its fixpoint (:class:`~repro.errors.AnalysisError`).  The
+``lint`` subparser itself is declared here and mounted by
+:mod:`repro.cli`, so the analyzer stays importable without the rest of
+the CLI.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.analysis.reporters import (
     render_sarif,
     render_text,
 )
+from repro.errors import AnalysisError
 
 #: Default baseline looked up relative to the current directory.
 DEFAULT_BASELINE = "lint-baseline.json"
@@ -92,7 +95,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         "--effect-table", default=None, metavar="FILE",
         dest="effect_table",
         help="also export the per-function blocking-effect table "
-             "(the ROADMAP async-refactor work-list) as JSON",
+             "(what must stay off an event-loop thread) as JSON",
     )
     parser.add_argument(
         "--role-table", default=None, metavar="FILE",
@@ -107,6 +110,15 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
 
 
 def run(args: argparse.Namespace) -> int:
+    try:
+        return _run(args)
+    except AnalysisError as error:
+        # A partial fixpoint could read as "clean"; refuse to report.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+
+
+def _run(args: argparse.Namespace) -> int:
     if args.list_rules:
         for rule in all_rules():
             print(f"{rule.name} [{rule.severity}]")

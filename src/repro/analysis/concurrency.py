@@ -19,12 +19,16 @@ module builds the whole-program substrate both rules share:
    at that point, resolved call edges (``self.m()``, module functions,
    attribute chains like ``self.isp.open_session()``, constructors,
    ``super()``), thread-spawn sites (``Thread(target=...)`` /
-   ``SanThread``), and reads/writes of annotated fields;
-3. two interprocedural fixpoints — ``H(f)``, the set of locks held on
-   *every* path into ``f`` (the meet over call sites; a thread-spawn
-   site contributes the empty set, because the child runs without the
-   spawner's locks), and ``Acq*(f)``, the locks ``f`` acquires
-   transitively.
+   ``SanThread``), reads/writes of annotated fields, and the blocking
+   primitives and unbounded waits ``blocking-effect`` polices — all
+   from one walk per function, with every call site indexed under its
+   callee as well as its caller;
+3. two interprocedural fixpoints, both solved by
+   :func:`repro.analysis.core.solve` — ``H(f)``, the set of locks held
+   on *every* path into ``f`` (the meet over call sites; a
+   thread-spawn site contributes the empty set, because the child runs
+   without the spawner's locks), and ``Acq*(f)``, the locks ``f``
+   acquires transitively.
 
 On top of that substrate:
 
@@ -68,6 +72,7 @@ from repro.analysis.core import (
     ModuleContext,
     ProgramRule,
     register,
+    solve,
 )
 
 #: Method names whose call mutates the receiver collection in place.
@@ -89,6 +94,9 @@ _GUARDED_BY_RE = re.compile(
 
 _MODE_ALL = "all"
 _MODE_WRITES = "writes"
+
+#: Unresolvable-receiver method names that are socket operations.
+_SOCKET_METHODS = frozenset({"recv", "sendall", "accept"})
 
 
 def _dotted(node: ast.expr) -> Optional[str]:
@@ -150,10 +158,11 @@ class FieldAnnotation:
 class CallSite:
     """One resolved call edge (or thread spawn) out of a function."""
 
-    __slots__ = ("callee", "held", "line", "is_thread_target")
+    __slots__ = ("caller", "callee", "held", "line", "is_thread_target")
 
-    def __init__(self, callee: str, held: FrozenSet[str], line: int,
-                 is_thread_target: bool) -> None:
+    def __init__(self, caller: str, callee: str, held: FrozenSet[str],
+                 line: int, is_thread_target: bool) -> None:
+        self.caller = caller
         self.callee = callee
         self.held = held
         self.line = line
@@ -171,14 +180,39 @@ class Acquisition:
         self.line = line
 
 
+class BlockSite:
+    """One direct blocking primitive with the locks held around it."""
+
+    __slots__ = ("kind", "detail", "line", "held")
+
+    def __init__(self, kind: str, detail: str, line: int,
+                 held: FrozenSet[str]) -> None:
+        self.kind = kind
+        self.detail = detail
+        self.line = line
+        self.held = held
+
+
+class WaitSite:
+    """One unbounded wait (no timeout argument)."""
+
+    __slots__ = ("detail", "line")
+
+    def __init__(self, detail: str, line: int) -> None:
+        self.detail = detail
+        self.line = line
+
+
 class FieldAccess:
-    """One read/write of an annotated field."""
+    """One read/write of a field whose owning class resolved; the rules
+    look up their own annotations (guarded-by, confined-to) on it."""
 
-    __slots__ = ("field_id", "is_write", "held", "line")
+    __slots__ = ("owner", "attr", "is_write", "held", "line")
 
-    def __init__(self, field_id: str, is_write: bool,
+    def __init__(self, owner: str, attr: str, is_write: bool,
                  held: FrozenSet[str], line: int) -> None:
-        self.field_id = field_id
+        self.owner = owner
+        self.attr = attr
         self.is_write = is_write
         self.held = held
         self.line = line
@@ -188,8 +222,8 @@ class FunctionInfo:
     """The per-function summary both rules consume."""
 
     __slots__ = ("func_id", "class_id", "ctx", "name", "acquires",
-                 "calls", "accesses", "param_types", "local_types",
-                 "node")
+                 "calls", "accesses", "blocking", "waits",
+                 "param_types", "local_types", "node")
 
     def __init__(self, func_id: str, class_id: Optional[str],
                  ctx: ModuleContext, name: str,
@@ -201,6 +235,8 @@ class FunctionInfo:
         self.acquires: List[Acquisition] = []
         self.calls: List[CallSite] = []
         self.accesses: List[FieldAccess] = []
+        self.blocking: List[BlockSite] = []
+        self.waits: List[WaitSite] = []
         self.param_types: Dict[str, str] = {}
         self.local_types: Dict[str, str] = {}
         #: The function's own AST, for rules (dataflow) that need to
@@ -224,7 +260,26 @@ class Program:
         self.index_findings: List[Finding] = []
         #: module name -> {local name -> dotted ref}.
         self.symbols: Dict[str, Dict[str, str]] = {}
+        #: func id -> the call sites (spawns included) that resolve to
+        #: it, in sorted caller order.
+        self.callers: Dict[str, List[CallSite]] = {}
         self._mro_cache: Dict[str, List[str]] = {}
+
+    def calls_into(self, func_id: str) -> List[CallSite]:
+        """Non-spawn call sites that resolve to ``func_id``."""
+        return [
+            site for site in self.callers.get(func_id, ())
+            if not site.is_thread_target
+        ]
+
+    def callees(self, func_id: str, threads: bool = False) -> List[str]:
+        """Analyzed functions ``func_id`` calls (spawns only on request:
+        a spawned target runs on its own thread, not inside the call)."""
+        return [
+            site.callee for site in self.functions[func_id].calls
+            if site.callee in self.functions
+            and (threads or not site.is_thread_target)
+        ]
 
     # -- symbol resolution ---------------------------------------------
 
@@ -763,8 +818,8 @@ class _FunctionVisitor:
                             )
                     if target is not None:
                         self.func.calls.append(CallSite(
-                            target, frozenset(), call.lineno,
-                            is_thread_target=True,
+                            self.func.func_id, target, frozenset(),
+                            call.lineno, is_thread_target=True,
                         ))
         # Bare .acquire(): counts as an acquisition for lock ordering.
         if (
@@ -789,9 +844,10 @@ class _FunctionVisitor:
         callee = self.resolve_callable(call.func)
         if callee is not None:
             self.func.calls.append(CallSite(
-                callee, self.held_set(), call.lineno,
+                self.func.func_id, callee, self.held_set(), call.lineno,
                 is_thread_target=False,
             ))
+        self.note_primitives(call, callee)
         for arg in call.args:
             self.visit_expr(arg)
         for keyword in call.keywords:
@@ -807,12 +863,69 @@ class _FunctionVisitor:
         owner = self.resolve_receiver(attr.value)
         if owner is None:
             return
-        annotation = self.program.lookup_annotation(owner, attr.attr)
-        if annotation is None:
-            return
         self.func.accesses.append(FieldAccess(
-            annotation.field_id, is_write, self.held_set(), attr.lineno
+            owner, attr.attr, is_write, self.held_set(), attr.lineno
         ))
+
+    def note_primitives(self, call: ast.Call,
+                        callee: Optional[str]) -> None:
+        """Record blocking primitives and unbounded waits (the
+        ``blocking-effect`` and ``loop-blocking`` material)."""
+        attr = (
+            call.func.attr
+            if isinstance(call.func, ast.Attribute) else None
+        )
+        kind: Optional[str] = None
+        if callee == "time.sleep":
+            kind = "sleep"
+        elif callee == "os.fsync":
+            kind = "fsync"
+        elif callee is not None and (
+            callee == "subprocess" or callee.startswith("subprocess.")
+        ):
+            kind = "subprocess"
+        elif callee in ("socket.create_connection", "socket.socket"):
+            kind = "socket"
+        elif callee is None and attr in _SOCKET_METHODS:
+            kind = "socket"
+        if kind is not None:
+            detail = callee if callee is not None else f".{attr}()"
+            self.func.blocking.append(BlockSite(
+                kind, detail, call.lineno, self.held_set()
+            ))
+        self.note_unbounded_wait(call, callee, attr)
+
+    def note_unbounded_wait(self, call: ast.Call,
+                            callee: Optional[str],
+                            attr: Optional[str]) -> None:
+        has_timeout_kw = any(
+            keyword.arg == "timeout" for keyword in call.keywords
+        )
+        if callee is None and attr in ("join", "wait"):
+            if not call.args and not has_timeout_kw:
+                self.func.waits.append(WaitSite(
+                    f"{attr}() without a timeout", call.lineno
+                ))
+            return
+        if attr == "acquire" and not call.args and not call.keywords:
+            if self.resolve_lock(call.func.value) is not None:
+                self.func.waits.append(WaitSite(
+                    "lock acquire() without a timeout", call.lineno
+                ))
+            return
+        if callee == "socket.create_connection":
+            if len(call.args) < 2 and not has_timeout_kw:
+                self.func.waits.append(WaitSite(
+                    "create_connection without a timeout", call.lineno
+                ))
+            return
+        if attr == "settimeout" and len(call.args) == 1:
+            arg = call.args[0]
+            if isinstance(arg, ast.Constant) and arg.value is None:
+                self.func.waits.append(WaitSite(
+                    "settimeout(None) disables the socket timeout",
+                    call.lineno,
+                ))
 
 
 def _collect_function(program: Program, ctx: ModuleContext,
@@ -889,79 +1002,57 @@ def _is_private(func_id: str) -> bool:
 def _entry_held(program: Program) -> Dict[str, FrozenSet[str]]:
     """``H(f)``: locks held on every known path into ``f``.
 
-    Meet-over-call-sites for private helpers; public functions, thread
-    targets, and helpers with no known callers get the empty set.
+    Meet over call sites for private helpers, solved callers first
+    down from the all-locks top; public functions, thread targets, and
+    helpers with no known callers get the empty set.
     """
-    sites: Dict[str, List[CallSite]] = {}
-    for func in program.functions.values():
-        for site in func.calls:
-            if site.callee in program.functions:
-                sites.setdefault(site.callee, []).append(site)
+    def derived(func_id: str) -> bool:
+        return _is_private(func_id) and func_id in program.callers
+
+    def step(func_id: str,
+             held: Dict[str, FrozenSet[str]]) -> FrozenSet[str]:
+        if not derived(func_id):
+            return frozenset()
+        contributions = [
+            frozenset() if site.is_thread_target
+            else site.held | held[site.caller]
+            for site in program.callers[func_id]
+        ]
+        return frozenset.intersection(*contributions)
+
     universe = frozenset(program.locks)
-    held: Dict[str, FrozenSet[str]] = {}
-    for func_id in program.functions:
-        held[func_id] = (
-            universe
-            if sites.get(func_id) and _is_private(func_id)
-            else frozenset()
-        )
-    changed = True
-    while changed:
-        changed = False
-        for func_id, in_sites in sites.items():
-            if not _is_private(func_id):
-                continue
-            merged: Optional[FrozenSet[str]] = None
-            for site in in_sites:
-                caller = _caller_of(program, site, func_id)
-                contribution = (
-                    frozenset() if site.is_thread_target
-                    else site.held | held.get(caller, frozenset())
-                )
-                merged = (
-                    contribution if merged is None
-                    else merged & contribution
-                )
-            merged = merged if merged is not None else frozenset()
-            if merged != held[func_id]:
-                held[func_id] = merged
-                changed = True
-    return held
+    return solve(
+        "entry-held",
+        {
+            func_id: universe if derived(func_id) else frozenset()
+            for func_id in sorted(program.functions)
+        },
+        lambda func_id: [
+            site.caller for site in program.callers.get(func_id, ())
+        ] if derived(func_id) else [],
+        step,
+        lambda old, new: new <= old,
+    )
 
 
-def _caller_of(program: Program, site: CallSite, callee: str) -> str:
-    # Call sites do not record their owner; rebuild lazily once.
-    cache = getattr(program, "_site_owner", None)
-    if cache is None:
-        cache = {}
-        for func in program.functions.values():
-            for s in func.calls:
-                cache[id(s)] = func.func_id
-        program._site_owner = cache  # type: ignore[attr-defined]
-    return cache[id(site)]
-
-
-def _transitive_acquires(program: Program) -> Dict[str, Set[str]]:
+def _transitive_acquires(program: Program) -> Dict[str, FrozenSet[str]]:
     """``Acq*(f)``: locks acquired by ``f`` or any (non-thread) callee."""
-    acq: Dict[str, Set[str]] = {
-        func_id: {a.lock for a in func.acquires}
-        for func_id, func in program.functions.items()
-    }
-    changed = True
-    while changed:
-        changed = False
-        for func_id, func in program.functions.items():
-            mine = acq[func_id]
-            before = len(mine)
-            for site in func.calls:
-                if site.is_thread_target:
-                    continue
-                callee_acq = acq.get(site.callee)
-                if callee_acq:
-                    mine |= callee_acq
-            if len(mine) != before:
-                changed = True
-    return acq
+    def step(func_id: str,
+             acq: Dict[str, FrozenSet[str]]) -> FrozenSet[str]:
+        return acq[func_id].union(
+            *(acq[callee] for callee in program.callees(func_id))
+        )
+
+    return solve(
+        "transitive-acquires",
+        {
+            func_id: frozenset(a.lock for a in func.acquires)
+            for func_id, func in sorted(program.functions.items())
+        },
+        program.callees,
+        step,
+        lambda old, new: old <= new,
+    )
 
 
 def build_program(contexts: Sequence[ModuleContext]) -> Program:
@@ -977,6 +1068,10 @@ def build_program(contexts: Sequence[ModuleContext]) -> Program:
     _resolve_annotation_locks(program)
     for ctx in contexts:
         _collect_summaries(program, ctx)
+    for func_id in sorted(program.functions):
+        for site in program.functions[func_id].calls:
+            if site.callee in program.functions:
+                program.callers.setdefault(site.callee, []).append(site)
     return program
 
 
@@ -1159,7 +1254,10 @@ class GuardedByRule(ProgramRule):
             func = program.functions[func_id]
             base = entry_held.get(func_id, frozenset())
             for access in func.accesses:
-                annotation = annotations.get(access.field_id)
+                found = program.lookup_annotation(access.owner, access.attr)
+                annotation = (
+                    annotations.get(found.field_id) if found else None
+                )
                 if annotation is None:
                     continue
                 if (
@@ -1185,7 +1283,7 @@ class GuardedByRule(ProgramRule):
                     path=func.ctx.path, line=access.line,
                     rule=self.name,
                     message=(
-                        f"{kind} {_short(access.field_id)} in "
+                        f"{kind} {_short(annotation.field_id)} in "
                         f"{func_id} without its guarded-by lock "
                         f"{_short(annotation.lock_name)} "
                         f"({held_note} on some call path)"

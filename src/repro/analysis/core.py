@@ -15,6 +15,9 @@ The moving parts, in the order they act on a file:
 4. a baseline (a checked-in JSON file of grandfathered findings) is
    subtracted; whatever remains is reported.
 
+Program rules reach their interprocedural facts through :func:`solve`,
+the package's one fixpoint loop.
+
 Exit-code policy lives in :mod:`repro.analysis.cli`: error-severity
 findings always fail, warnings fail only under ``--strict``.
 """
@@ -26,9 +29,23 @@ import io
 import json
 import re
 import tokenize
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
+
+from repro.errors import AnalysisError
 
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
@@ -165,6 +182,111 @@ def all_rules() -> List[Rule]:
     from repro.analysis import rules as _rules  # noqa: F401
 
     return [_RULES[name] for name in sorted(_RULES)]
+
+
+# ----------------------------------------------------------------------
+# The fixpoint solver
+# ----------------------------------------------------------------------
+
+V = TypeVar("V")
+
+
+def solve(
+    analysis: str,
+    initial: Dict[Hashable, V],
+    reads: Callable[[Hashable], Iterable[Hashable]],
+    step: Callable[[Hashable, Dict[Hashable, V]], V],
+    leq: Callable[[V, V], bool],
+) -> Dict[Hashable, V]:
+    """The one fixpoint loop of :mod:`repro.analysis`.
+
+    ``initial`` gives every node its starting value, ``reads(n)`` the
+    nodes whose values ``step(n, values)`` consults, and ``leq(a, b)``
+    the analysis's order (``a`` at or below ``b``).  Strongly connected
+    components of the reads graph are solved one at a time, each after
+    every component it reads: callees first when nodes read their
+    callees (bottom-up summaries), callers first when they read their
+    callers (entry-held locks, roles).  A node is re-evaluated only when
+    something it reads has changed, so an acyclic chain converges in one
+    pass whatever its depth.
+
+    A step result order-equal to the current value is no change (the
+    current value, witnesses included, stays); one not above it raises
+    :class:`AnalysisError` naming the analysis and the node.  There is
+    no round cap: values climb orders over finite, program-derived
+    sets, so the loop ends, and a step that breaks this is reported,
+    never cut short into a partial answer.
+    """
+    values = dict(initial)
+    deps = {
+        node: [d for d in reads(node) if d in values] for node in values
+    }
+    readers: Dict[Hashable, List[Hashable]] = {node: [] for node in values}
+    for node, sources in deps.items():
+        for source in sources:
+            readers[source].append(node)
+    for component in _components(values, deps):
+        members = set(component)
+        queue = deque(reversed(component))  # discovery order
+        queued = set(members)
+        while queue:
+            node = queue.popleft()
+            queued.discard(node)
+            new = step(node, values)
+            if not leq(values[node], new):
+                raise AnalysisError(analysis, node)
+            if leq(new, values[node]):
+                continue
+            values[node] = new
+            for reader in readers[node]:
+                if reader in members and reader not in queued:
+                    queued.add(reader)
+                    queue.append(reader)
+    return values
+
+
+def _components(
+    nodes: Iterable[Hashable], deps: Dict[Hashable, List[Hashable]],
+) -> List[List[Hashable]]:
+    """Strongly connected components of ``deps``, each listed after
+    every component it reaches (Tarjan's order, without recursion so
+    call-graph depth is unbounded)."""
+    number: Dict[Hashable, int] = {}
+    low: Dict[Hashable, int] = {}
+    stack: List[Hashable] = []
+    on_stack = set()
+    components: List[List[Hashable]] = []
+    for root in nodes:
+        if root in number:
+            continue
+        number[root] = low[root] = len(number)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(deps[root]))]
+        while work:
+            node, successors = work[-1]
+            for succ in successors:
+                if succ not in number:
+                    number[succ] = low[succ] = len(number)
+                    stack.append(succ)
+                    on_stack.add(succ)
+                    work.append((succ, iter(deps[succ])))
+                    break
+                if succ in on_stack:
+                    low[node] = min(low[node], number[succ])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == number[node]:
+                    component = []
+                    while not component or component[-1] != node:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                    components.append(component)
+    return components
 
 
 # ----------------------------------------------------------------------

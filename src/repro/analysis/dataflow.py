@@ -26,7 +26,9 @@ way ``guarded-by`` declares lock ownership:
 Taint propagates through assignments, tuple unpacking, arithmetic,
 attribute/subscript loads, and — interprocedurally — through call
 edges via per-function summaries (does ``f`` return taint? do any of
-its parameters flow to a sink?) iterated to a fixpoint.  A tainted
+its parameters flow to a sink?) solved callees first by
+:func:`repro.analysis.core.solve`, so a helper chain of any depth is
+followed to its end.  A tainted
 value reaching a sink yields an error carrying the full witness chain
 (source function → intermediate calls → sink call site), mirroring the
 per-edge witnesses of the lock-order reports.
@@ -40,9 +42,9 @@ sanitizer on one branch clears taint for the code after the join.
 **blocking-effect** infers each function's worst blocking effect —
 lock acquisition, ``sleep``, ``fsync``, socket I/O, subprocess —
 transitively over the call graph, and publishes the per-function
-table as a JSON artifact (:func:`build_effect_table`), the work-list
-for ROADMAP item 2's asyncio refactor of the serving path.  Two
-policies are enforced now:
+table as a JSON artifact (:func:`build_effect_table`): every function
+listed there must stay off an event-loop thread.  Two policies are
+enforced:
 
 1. no blocking primitive may execute (directly or through any
    resolvable call chain) while holding a lock from the DESIGN §8
@@ -65,7 +67,6 @@ from typing import (
     FrozenSet,
     Iterator,
     List,
-    Optional,
     Sequence,
     Set,
     Tuple,
@@ -85,6 +86,7 @@ from repro.analysis.core import (
     ModuleContext,
     ProgramRule,
     register,
+    solve,
 )
 
 # ----------------------------------------------------------------------
@@ -156,12 +158,13 @@ class _TaintSummary:
         #: parameters that reach a sink un-sanitized.
         self.sink_params: Dict[int, Tuple[str, ...]] = {}
 
-    def __eq__(self, other: object) -> bool:
+    def __le__(self, other: "_TaintSummary") -> bool:
+        """The summary order: every flow this one records, ``other``
+        records too (witness chains are not compared)."""
         return (
-            isinstance(other, _TaintSummary)
-            and self.returns == other.returns
-            and self.return_params == other.return_params
-            and self.sink_params == other.sink_params
+            self.returns.keys() <= other.returns.keys()
+            and self.return_params <= other.return_params
+            and self.sink_params.keys() <= other.sink_params.keys()
         )
 
 
@@ -394,38 +397,28 @@ class _TaintWalker:
                 self.summary.sink_params.setdefault(token[1], sink_chain)
 
 
-def _taint_pass(
-    program: Program, roles: Dict[str, str],
-    summaries: Dict[str, _TaintSummary],
-) -> Tuple[Dict[str, _TaintSummary], List[_SinkHit]]:
-    next_summaries: Dict[str, _TaintSummary] = {}
-    hits: List[_SinkHit] = []
-    for func_id in sorted(program.functions):
-        func = program.functions[func_id]
-        walker = _TaintWalker(program, roles, summaries, func)
-        walker.run()
-        next_summaries[func_id] = walker.summary
-        hits.extend(walker.hits)
-    return next_summaries, hits
-
-
 def _taint_analysis(
     program: Program, roles: Dict[str, str],
 ) -> List[_SinkHit]:
-    summaries = {
-        func_id: _TaintSummary() for func_id in program.functions
-    }
-    hits: List[_SinkHit] = []
-    # The summaries grow monotonically (setdefault semantics), so the
-    # fixpoint terminates; the bound is paranoia, not policy.
-    for _ in range(12):
-        next_summaries, hits = _taint_pass(program, roles, summaries)
-        if all(
-            next_summaries[f] == summaries[f] for f in summaries
-        ):
-            break
-        summaries = next_summaries
-    return hits
+    """Sink hits, from each function's walk over its callees' final
+    summaries."""
+    hits: Dict[str, List[_SinkHit]] = {}
+
+    def step(func_id: str,
+             summaries: Dict[str, _TaintSummary]) -> _TaintSummary:
+        walker = _TaintWalker(
+            program, roles, summaries, program.functions[func_id]
+        )
+        walker.run()
+        hits[func_id] = walker.hits
+        return walker.summary
+
+    solve(
+        "verify-before-use",
+        {func_id: _TaintSummary() for func_id in sorted(program.functions)},
+        program.callees, step, lambda old, new: old <= new,
+    )
+    return [hit for func_id in sorted(hits) for hit in hits[func_id]]
 
 
 @register
@@ -490,178 +483,45 @@ class VerifyBeforeUseRule(ProgramRule):
 #: Effect kinds, mildest first; "worst" is the right-most present.
 EFFECT_ORDER = ("lock", "sleep", "fsync", "socket", "subprocess")
 
-#: Unresolvable-receiver method names that are socket operations.
-_SOCKET_METHODS = frozenset({"recv", "sendall", "accept"})
-
-
-class _BlockSite:
-    """One direct blocking primitive with the locks held around it."""
-
-    __slots__ = ("kind", "detail", "line", "held")
-
-    def __init__(self, kind: str, detail: str, line: int,
-                 held: FrozenSet[str]) -> None:
-        self.kind = kind
-        self.detail = detail
-        self.line = line
-        self.held = held
-
-
-class _WaitSite:
-    """One unbounded wait (no timeout argument) — policy 2 material."""
-
-    __slots__ = ("detail", "line")
-
-    def __init__(self, detail: str, line: int) -> None:
-        self.detail = detail
-        self.line = line
-
-
-class _SiteVisitor(_FunctionVisitor):
-    """The concurrency walk, additionally recording blocking sites.
-
-    Runs over a *shadow* :class:`FunctionInfo` so the acquisitions and
-    call edges it re-derives do not double up on the real summaries.
-    """
-
-    def __init__(self, program: Program, ctx: ModuleContext,
-                 shadow: FunctionInfo, blocking: List[_BlockSite],
-                 waits: List[_WaitSite]) -> None:
-        super().__init__(program, ctx, shadow)
-        self.blocking = blocking
-        self.waits = waits
-
-    def visit_call(self, call: ast.Call) -> None:
-        self.note_primitives(call)
-        super().visit_call(call)
-
-    def note_primitives(self, call: ast.Call) -> None:
-        callee = self.resolve_callable(call.func)
-        attr = (
-            call.func.attr
-            if isinstance(call.func, ast.Attribute) else None
-        )
-        kind: Optional[str] = None
-        if callee == "time.sleep":
-            kind = "sleep"
-        elif callee == "os.fsync":
-            kind = "fsync"
-        elif callee is not None and (
-            callee == "subprocess" or callee.startswith("subprocess.")
-        ):
-            kind = "subprocess"
-        elif callee in ("socket.create_connection", "socket.socket"):
-            kind = "socket"
-        elif callee is None and attr in _SOCKET_METHODS:
-            kind = "socket"
-        if kind is not None:
-            detail = callee if callee is not None else f".{attr}()"
-            self.blocking.append(_BlockSite(
-                kind, detail, call.lineno, self.held_set()
-            ))
-        self.note_unbounded_wait(call, callee, attr)
-
-    def note_unbounded_wait(self, call: ast.Call,
-                            callee: Optional[str],
-                            attr: Optional[str]) -> None:
-        has_timeout_kw = any(
-            keyword.arg == "timeout" for keyword in call.keywords
-        )
-        if callee is None and attr in ("join", "wait"):
-            if not call.args and not has_timeout_kw:
-                self.waits.append(_WaitSite(
-                    f"{attr}() without a timeout", call.lineno
-                ))
-            return
-        if attr == "acquire" and not call.args and not call.keywords:
-            if self.resolve_lock(call.func.value) is not None:
-                self.waits.append(_WaitSite(
-                    "lock acquire() without a timeout", call.lineno
-                ))
-            return
-        if callee == "socket.create_connection":
-            if len(call.args) < 2 and not has_timeout_kw:
-                self.waits.append(_WaitSite(
-                    "create_connection without a timeout", call.lineno
-                ))
-            return
-        if attr == "settimeout" and len(call.args) == 1:
-            arg = call.args[0]
-            if isinstance(arg, ast.Constant) and arg.value is None:
-                self.waits.append(_WaitSite(
-                    "settimeout(None) disables the socket timeout",
-                    call.lineno,
-                ))
-
-
-class _Sites:
-    __slots__ = ("blocking", "waits")
-
-    def __init__(self) -> None:
-        self.blocking: List[_BlockSite] = []
-        self.waits: List[_WaitSite] = []
-
-
-def _collect_sites(program: Program) -> Dict[str, _Sites]:
-    sites: Dict[str, _Sites] = {}
-    for func_id, func in program.functions.items():
-        entry = _Sites()
-        sites[func_id] = entry
-        if func.node is None:
-            continue
-        shadow = FunctionInfo(
-            func.func_id, func.class_id, func.ctx, func.name, func.node
-        )
-        shadow.param_types = dict(func.param_types)
-        shadow.local_types = dict(func.local_types)
-        _SiteVisitor(
-            program, func.ctx, shadow, entry.blocking, entry.waits
-        ).visit_body(func.node.body)
-    return sites
-
-
 #: effect kind -> (call chain to the primitive, detail, line, path).
 _Witness = Tuple[Tuple[str, ...], str, int, str]
 
 
-def _effects(
-    program: Program, sites: Dict[str, _Sites],
-) -> Dict[str, Dict[str, _Witness]]:
+def _effects(program: Program) -> Dict[str, Dict[str, _Witness]]:
     """Transitive blocking effects with a witness chain per kind."""
-    effects: Dict[str, Dict[str, _Witness]] = {
-        func_id: {} for func_id in program.functions
-    }
-    for func_id in sorted(program.functions):
-        func = program.functions[func_id]
-        for site in sites[func_id].blocking:
-            effects[func_id].setdefault(site.kind, (
-                (func_id,), site.detail, site.line, func.ctx.path
+    def direct(func: FunctionInfo) -> Dict[str, _Witness]:
+        mine: Dict[str, _Witness] = {}
+        for site in func.blocking:
+            mine.setdefault(site.kind, (
+                (func.func_id,), site.detail, site.line, func.ctx.path
             ))
         if func.acquires:
             first = func.acquires[0]
-            effects[func_id].setdefault("lock", (
-                (func_id,), _short(first.lock), first.line,
+            mine.setdefault("lock", (
+                (func.func_id,), _short(first.lock), first.line,
                 func.ctx.path,
             ))
-    changed = True
-    while changed:
-        changed = False
-        for func_id in sorted(program.functions):
-            func = program.functions[func_id]
-            mine = effects[func_id]
-            for call in func.calls:
-                if call.is_thread_target:
-                    continue
-                for kind, witness in effects.get(
-                    call.callee, {}
-                ).items():
-                    if kind not in mine:
-                        chain, detail, line, path = witness
-                        mine[kind] = (
-                            (func_id,) + chain, detail, line, path
-                        )
-                        changed = True
-    return effects
+        return mine
+
+    def step(func_id: str, effects: Dict[str, Dict[str, _Witness]],
+             ) -> Dict[str, _Witness]:
+        mine = dict(effects[func_id])
+        for callee in program.callees(func_id):
+            for kind, witness in effects[callee].items():
+                if kind not in mine:
+                    chain, detail, line, path = witness
+                    mine[kind] = ((func_id,) + chain, detail, line, path)
+        return mine
+
+    return solve(
+        "blocking-effect",
+        {
+            func_id: direct(func)
+            for func_id, func in sorted(program.functions.items())
+        },
+        program.callees, step,
+        lambda old, new: old.keys() <= new.keys(),
+    )
 
 
 def build_effect_table(
@@ -671,12 +531,11 @@ def build_effect_table(
 
     One entry per function with any inferred effect: the effect set,
     the worst effect, and a witness chain down to the primitive call.
-    This is the work-list for the asyncio refactor of the serving path
-    (ROADMAP item 2): anything listed here blocks an event loop.
+    Anything listed here blocks an event loop, so it must stay off the
+    loop thread.
     """
     program = _cached_program(contexts)
-    sites = _collect_sites(program)
-    effects = _effects(program, sites)
+    effects = _effects(program)
     rows: List[Dict[str, object]] = []
     for func_id in sorted(program.functions):
         kinds = effects[func_id]
@@ -728,19 +587,18 @@ class BlockingEffectRule(ProgramRule):
         self, contexts: Sequence[ModuleContext]
     ) -> Iterator[Finding]:
         program = _cached_program(contexts)
-        sites = _collect_sites(program)
         entry_held = _entry_held(program)
         acq_star = _transitive_acquires(program)
-        effects = _effects(program, sites)
+        effects = _effects(program)
         yield from self._policy_blocking_under_lock(
-            program, sites, entry_held, acq_star, effects
+            program, entry_held, acq_star, effects
         )
-        yield from self._policy_deadline_waits(program, sites)
+        yield from self._policy_deadline_waits(program)
 
     def _policy_blocking_under_lock(
-        self, program: Program, sites: Dict[str, _Sites],
+        self, program: Program,
         entry_held: Dict[str, FrozenSet[str]],
-        acq_star: Dict[str, Set[str]],
+        acq_star: Dict[str, FrozenSet[str]],
         effects: Dict[str, Dict[str, _Witness]],
     ) -> Iterator[Finding]:
         san = program.san_locks
@@ -749,7 +607,7 @@ class BlockingEffectRule(ProgramRule):
         for func_id in sorted(program.functions):
             func = program.functions[func_id]
             base = entry_held.get(func_id, frozenset())
-            for site in sites[func_id].blocking:
+            for site in func.blocking:
                 held = (base | site.held) & san
                 if held:
                     locks = ", ".join(sorted(_short(h) for h in held))
@@ -777,7 +635,7 @@ class BlockingEffectRule(ProgramRule):
                 held = (base | call.held) & san
                 # Locks the callee itself acquires or demonstrably
                 # enters with are its own (already reported) problem.
-                held -= acq_star.get(call.callee, set())
+                held -= acq_star.get(call.callee, frozenset())
                 held -= entry_held.get(call.callee, frozenset())
                 if not held:
                     continue
@@ -796,45 +654,36 @@ class BlockingEffectRule(ProgramRule):
                     ),
                 )
 
-    def _policy_deadline_waits(
-        self, program: Program, sites: Dict[str, _Sites],
-    ) -> Iterator[Finding]:
-        roots = {
-            func_id for func_id, func in program.functions.items()
-            if "deadline" in _param_names(func)
-        }
-        if not roots:
-            return
-        parent: Dict[str, str] = {}
-        reached: Set[str] = set(roots)
-        frontier = sorted(roots)
-        while frontier:
-            grown: List[str] = []
-            for func_id in frontier:
-                for call in program.functions[func_id].calls:
-                    if call.is_thread_target:
-                        continue
-                    callee = call.callee
-                    if (
-                        callee in program.functions
-                        and callee not in reached
-                    ):
-                        reached.add(callee)
-                        parent[callee] = func_id
-                        grown.append(callee)
-            frontier = sorted(grown)
-        for func_id in sorted(reached):
+    def _policy_deadline_waits(self, program: Program) -> Iterator[Finding]:
+        # A call path from a deadline-taking root down to each function
+        # (empty off every deadline path), solved callers first.
+        def callers(func_id: str) -> List[str]:
+            return [site.caller for site in program.calls_into(func_id)]
+
+        def step(func_id: str,
+                 paths: Dict[str, Tuple[str, ...]]) -> Tuple[str, ...]:
+            if paths[func_id]:
+                return paths[func_id]
+            for caller in callers(func_id):
+                if paths[caller]:
+                    return paths[caller] + (func_id,)
+            return ()
+
+        paths = solve(
+            "deadline-path",
+            {
+                func_id: (func_id,) if "deadline" in _param_names(func)
+                else ()
+                for func_id, func in sorted(program.functions.items())
+            },
+            callers, step, lambda old, new: not old or new == old,
+        )
+        for func_id, path in paths.items():
             func = program.functions[func_id]
-            waits = sites[func_id].waits
-            if not waits:
+            if not path or not func.waits:
                 continue
-            chain = [func_id]
-            while chain[-1] in parent:
-                chain.append(parent[chain[-1]])
-            rendered = " -> ".join(
-                _short(f) for f in reversed(chain)
-            )
-            for wait in waits:
+            rendered = " -> ".join(_short(f) for f in path)
+            for wait in func.waits:
                 yield Finding(
                     path=func.ctx.path, line=wait.line, rule=self.name,
                     message=(

@@ -99,8 +99,9 @@ from repro.analysis.core import (
     ModuleContext,
     ProgramRule,
     register,
+    solve,
 )
-from repro.analysis.dataflow import _collect_sites, _param_names
+from repro.analysis.dataflow import _param_names
 
 ROLE_MAIN = "main"
 
@@ -338,12 +339,7 @@ class RoleModel:
 
 def _build_roles(program: Program, own: Ownership) -> RoleModel:
     model = RoleModel()
-    model.roles = {func_id: set() for func_id in program.functions}
-    in_edges: Set[str] = set()
-    for func in program.functions.values():
-        for site in func.calls:
-            if site.callee in program.functions:
-                in_edges.add(site.callee)
+    model.roles = {func_id: set() for func_id in sorted(program.functions)}
     # Spawn roots: every thread target starts its declared role (or an
     # implicit thread:<name> role when undeclared).
     for func_id in sorted(program.functions):
@@ -375,35 +371,29 @@ def _build_roles(program: Program, own: Ownership) -> RoleModel:
     for func_id in sorted(program.functions):
         if model.roles[func_id]:
             continue
-        if not _is_private(func_id) or func_id not in in_edges:
+        if not _is_private(func_id) or func_id not in program.callers:
             model.roles[func_id].add(ROLE_MAIN)
             model.roots.setdefault(ROLE_MAIN, []).append(
                 (func_id, None, None)
             )
     # Union-propagate roles along non-spawn call edges (may-analysis),
-    # recording the first parent edge per (callee, role) in sorted
-    # caller order so witness chains are deterministic.
-    changed = True
-    while changed:
-        changed = False
-        for func_id in sorted(program.functions):
-            func = program.functions[func_id]
-            mine = model.roles[func_id]
-            if not mine:
-                continue
-            for site in func.calls:
-                if site.is_thread_target:
-                    continue
-                callee = site.callee
-                if callee not in program.functions:
-                    continue
-                for role in sorted(mine):
-                    if role not in model.roles[callee]:
-                        model.roles[callee].add(role)
-                        model.parent[(callee, role)] = (
-                            func_id, site.line
-                        )
-                        changed = True
+    # callers first, recording the first parent edge per (callee, role)
+    # in sorted caller order so witness chains are deterministic.
+    def step(func_id: str, roles: Dict[str, Set[str]]) -> Set[str]:
+        mine = set(roles[func_id])
+        for site in program.calls_into(func_id):
+            for role in sorted(roles[site.caller] - mine):
+                mine.add(role)
+                model.parent[(func_id, role)] = (site.caller, site.line)
+        return mine
+
+    model.roles = solve(
+        "thread-role", model.roles,
+        lambda func_id: [
+            site.caller for site in program.calls_into(func_id)
+        ],
+        step, lambda old, new: old <= new,
+    )
     return model
 
 
@@ -454,69 +444,6 @@ def build_role_table(
 # ----------------------------------------------------------------------
 
 
-class _ConfinedAccess:
-    __slots__ = ("field_id", "is_write", "line")
-
-    def __init__(self, field_id: str, is_write: bool, line: int) -> None:
-        self.field_id = field_id
-        self.is_write = is_write
-        self.line = line
-
-
-class _ConfinedVisitor(_FunctionVisitor):
-    """The concurrency walk, recording confined-field accesses.
-
-    Runs over a *shadow* :class:`FunctionInfo` so the call edges and
-    acquisitions it re-derives do not double up on the real summaries
-    (the same pattern as dataflow's ``_SiteVisitor``).
-    """
-
-    def __init__(self, program: Program, ctx: ModuleContext,
-                 shadow: FunctionInfo, own: Ownership,
-                 out: List[_ConfinedAccess]) -> None:
-        super().__init__(program, ctx, shadow)
-        self.own = own
-        self.out = out
-
-    def note_field_access(self, attr: ast.Attribute,
-                          is_write: bool) -> None:
-        super().note_field_access(attr, is_write)
-        owner = self.resolve_receiver(attr.value)
-        if owner is None:
-            return
-        annotation = self.own.lookup_confined(
-            self.program, owner, attr.attr
-        )
-        if annotation is None:
-            return
-        self.out.append(_ConfinedAccess(
-            annotation.field_id, is_write, attr.lineno
-        ))
-
-
-def _confined_accesses(
-    program: Program, own: Ownership,
-) -> Dict[str, List[_ConfinedAccess]]:
-    accesses: Dict[str, List[_ConfinedAccess]] = {}
-    if not own.confined:
-        return accesses
-    for func_id, func in program.functions.items():
-        if func.node is None:
-            continue
-        out: List[_ConfinedAccess] = []
-        shadow = FunctionInfo(
-            func.func_id, func.class_id, func.ctx, func.name, func.node
-        )
-        shadow.param_types = dict(func.param_types)
-        shadow.local_types = dict(func.local_types)
-        _ConfinedVisitor(
-            program, func.ctx, shadow, own, out
-        ).visit_body(func.node.body)
-        if out:
-            accesses[func_id] = out
-    return accesses
-
-
 def _check_confinement(
     program: Program, own: Ownership, model: RoleModel,
 ) -> List[Finding]:
@@ -545,12 +472,15 @@ def _check_confinement(
                       "target's def line (plus the implicit 'main')"
                 ),
             ))
-    accesses = _confined_accesses(program, own)
-    for func_id in sorted(accesses):
+    for func_id in sorted(program.functions):
         func = program.functions[func_id]
         roles = model.roles.get(func_id, set())
-        for access in accesses[func_id]:
-            annotation = own.confined[access.field_id]
+        for access in func.accesses:
+            annotation = own.lookup_confined(
+                program, access.owner, access.attr
+            )
+            if annotation is None:
+                continue
             # Construction in the owning class's __init__ happens
             # before the object is shared with any thread.
             if (
@@ -573,7 +503,7 @@ def _check_confinement(
                 path=func.ctx.path, line=access.line,
                 rule=ThreadConfinementRule.name,
                 message=(
-                    f"{kind} {_short(access.field_id)} (confined to "
+                    f"{kind} {_short(annotation.field_id)} (confined to "
                     f"role {annotation.role!r}) in {func_id} is "
                     f"reachable on role {role!r}{extra}: "
                     f"{model.spawn_note(role)}; call path {chain}"
@@ -607,15 +537,13 @@ def _check_loop_blocking(
             ))
     if not model.nonblocking:
         return findings
-    sites = _collect_sites(program)
     for func_id in sorted(program.functions):
         func = program.functions[func_id]
         roles = model.roles.get(func_id, set()) & model.nonblocking
         if not roles:
             continue
         blocking = [
-            site for site in sites[func_id].blocking
-            if site.kind != "lock"
+            site for site in func.blocking if site.kind != "lock"
         ]
         if not blocking:
             continue
@@ -688,13 +616,17 @@ class _ReleaseSummary:
         #: to something unresolvable) — callers stop tracking.
         self.escapes_param: Set[int] = set()
 
-    def __eq__(self, other: object) -> bool:
+    def __bool__(self) -> bool:
+        return bool(self.acquires or self.releases
+                    or self.releases_param or self.escapes_param)
+
+    def __le__(self, other: "_ReleaseSummary") -> bool:
+        """The summary order: componentwise inclusion."""
         return (
-            isinstance(other, _ReleaseSummary)
-            and self.acquires == other.acquires
-            and self.releases == other.releases
-            and self.releases_param == other.releases_param
-            and self.escapes_param == other.escapes_param
+            self.acquires.items() <= other.acquires.items()
+            and self.releases <= other.releases
+            and self.releases_param <= other.releases_param
+            and self.escapes_param <= other.escapes_param
         )
 
 
@@ -742,18 +674,12 @@ class _CfgWalker:
 
     def __init__(self, program: Program, own: Ownership,
                  summaries: Dict[str, _ReleaseSummary],
-                 func: FunctionInfo, collect: bool) -> None:
+                 func: FunctionInfo) -> None:
         self.program = program
         self.own = own
         self.summaries = summaries
         self.func = func
-        self.collect = collect
-        shadow = FunctionInfo(
-            func.func_id, func.class_id, func.ctx, func.name, func.node
-        )
-        shadow.param_types = dict(func.param_types)
-        shadow.local_types = dict(func.local_types)
-        self.resolver = _FunctionVisitor(program, func.ctx, shadow)
+        self.resolver = _FunctionVisitor(program, func.ctx, func)
         self.params = _param_names(func)
         #: tokens that escaped anywhere (walker-global, conservative).
         self.escaped: Set[Token] = set()
@@ -1195,20 +1121,26 @@ class _CfgWalker:
     def stmt_loop(self, s: ast.stmt, states: Set[State],
                   out: _Outcomes,
                   test: Optional[ast.expr]) -> Set[State]:
-        head = _cap(set(states))
         brk: Set[State] = set()
-        for _ in range(8):
-            entry = head
+
+        # The loop head accumulates every state that reaches it (a set
+        # that only grows); each pass walks the body from its _cap
+        # widening, which grows with it.
+        def step(_node: ast.stmt,
+                 heads: Dict[ast.stmt, Set[State]]) -> Set[State]:
+            entry = _cap(set(heads[s]))
             if test is not None:
                 entry, _gen = self.eval_expr(test, entry, out)
             body_fall, body_out = self.walk_body(s.body, entry)
             out.ret |= body_out.ret
             out.raise_ |= body_out.raise_
-            brk |= body_out.brk
-            new_head = _cap(head | body_fall | body_out.cont)
-            if new_head == head:
-                break
-            head = new_head
+            brk.update(body_out.brk)
+            return heads[s] | body_fall | body_out.cont
+
+        head = _cap(solve(
+            MustReleaseRule.name, {s: set(states)}, lambda _node: [s],
+            step, lambda old, new: old <= new,
+        )[s])
         after = head
         if s.orelse:
             else_fall, else_out = self.walk_body(s.orelse, head)
@@ -1336,8 +1268,6 @@ class _CfgWalker:
                         for s in normal
                     ):
                         self.summary.acquires[resource] = False
-        if not self.collect:
-            return
         promoted = set(self.summary.acquires)
         for kind, exit_states in (("return", normal),
                                   ("exception", exceptional)):
@@ -1436,60 +1366,44 @@ def _check_must_release(program: Program,
     # Annotated functions *are* the primitive: their summaries are
     # fixed by the annotation and their bodies are not walked.
     annotated = set(own.acquirers) | set(own.releasers)
-    summaries: Dict[str, _ReleaseSummary] = {
-        func_id: _ReleaseSummary() for func_id in program.functions
+    initial: Dict[str, _ReleaseSummary] = {
+        func_id: _ReleaseSummary() for func_id in sorted(program.functions)
     }
     for func_id, decl in own.acquirers.items():
-        summaries[func_id].acquires[decl.resource] = decl.conditional
+        initial[func_id].acquires[decl.resource] = decl.conditional
     for func_id, decl in own.releasers.items():
-        summaries[func_id].releases.add(decl.resource)
+        initial[func_id].releases.add(decl.resource)
     primitive = {
         func_id: _has_primitive(program, func)
         for func_id, func in program.functions.items()
     }
+    #: The latest walk of every function that needed one; its leaks
+    #: were found against its callees' final summaries.
+    walkers: Dict[str, _CfgWalker] = {}
 
-    def relevant(func_id: str, nonempty: Set[str]) -> bool:
+    def step(func_id: str,
+             summaries: Dict[str, _ReleaseSummary]) -> _ReleaseSummary:
         if func_id in annotated:
-            return False
-        if primitive[func_id]:
-            return True
-        func = program.functions[func_id]
-        return any(site.callee in nonempty for site in func.calls)
-
-    for _round in range(8):
-        nonempty = {
-            func_id for func_id, summary in summaries.items()
-            if summary.acquires or summary.releases
-            or summary.releases_param or summary.escapes_param
-        }
-        changed = False
-        for func_id in sorted(program.functions):
-            if not relevant(func_id, nonempty):
-                continue
-            walker = _CfgWalker(
-                program, own, summaries,
-                program.functions[func_id], collect=False,
-            )
-            walker.run(universe)
-            if walker.summary != summaries[func_id]:
-                summaries[func_id] = walker.summary
-                changed = True
-        if not changed:
-            break
-    nonempty = {
-        func_id for func_id, summary in summaries.items()
-        if summary.acquires or summary.releases
-        or summary.releases_param or summary.escapes_param
-    }
-    for func_id in sorted(program.functions):
-        if not relevant(func_id, nonempty):
-            continue
+            return summaries[func_id]
+        if not primitive[func_id] and not any(
+            summaries[callee]
+            for callee in program.callees(func_id, threads=True)
+        ):
+            return _ReleaseSummary()
         walker = _CfgWalker(
-            program, own, summaries,
-            program.functions[func_id], collect=True,
+            program, own, summaries, program.functions[func_id]
         )
         walker.run(universe)
-        findings.extend(walker.leak_findings(own))
+        walkers[func_id] = walker
+        return walker.summary
+
+    solve(
+        MustReleaseRule.name, initial,
+        lambda func_id: program.callees(func_id, threads=True),
+        step, lambda old, new: old <= new,
+    )
+    for func_id in sorted(walkers):
+        findings.extend(walkers[func_id].leak_findings(own))
     return findings
 
 

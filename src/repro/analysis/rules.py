@@ -9,8 +9,9 @@ filesystem path), so fixtures in tests can impersonate any module.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
+from repro.analysis.concurrency import _dotted
 from repro.analysis.core import (
     SEVERITY_WARNING,
     Finding,
@@ -36,18 +37,6 @@ def _walk_with_functions(
             yield from visit(child, child_stack)
 
     yield from visit(tree, ())
-
-
-def _dotted(node: ast.expr) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 # ----------------------------------------------------------------------

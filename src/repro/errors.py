@@ -130,3 +130,18 @@ class EpochError(FleetError):
 class SanitizerError(ReproError):
     """The runtime concurrency sanitizer accumulated reports (data races
     or lock-order inversions) that the caller asserted could not occur."""
+
+
+class AnalysisError(ReproError):
+    """A :mod:`repro.analysis` fixpoint could not be reached: a step
+    moved a node's value down the analysis's order.  The lint run stops
+    with this error instead of reporting a partial (and therefore
+    possibly clean-looking) answer."""
+
+    def __init__(self, analysis: str, node: object) -> None:
+        super().__init__(
+            f"analysis {analysis!r} did not converge: the update of "
+            f"{node} is not monotone"
+        )
+        self.analysis = analysis
+        self.node = node

@@ -10,6 +10,8 @@ the shipped tree stays clean.
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.core import (
     analyze_source,
     analyze_sources,
@@ -81,12 +83,67 @@ def taint_program(client_body):
     """) + textwrap.indent(textwrap.dedent(client_body), "    ")
 
 
+def hop_chain(depth):
+    """``depth`` private helpers, each returning the next one's result;
+    the last returns ``_fetch``'s, i.e. ``Isp.get_page``'s bytes."""
+    hops = []
+    for i in range(depth):
+        inner = f"_hop_{i + 1:02d}" if i + 1 < depth else "_fetch"
+        hops.append(
+            f"def _hop_{i:02d}(self, page_id):\n"
+            f"    return self.{inner}(page_id)\n"
+        )
+    chain = " -> ".join(
+        ["Client.access"]
+        + [f"Client._hop_{i:02d}" for i in range(depth)]
+        + ["Client._fetch", "Isp.get_page"]
+    )
+    return "\n".join(hops), "self._hop_00(page_id)", chain
+
+
+MUTUAL_RECURSION = (
+    """
+    def _ping(self, page_id, hops):
+        if hops:
+            return self._pong(page_id, hops - 1)
+        return self._fetch(page_id)
+
+    def _pong(self, page_id, hops):
+        return self._ping(page_id, hops)
+    """,
+    "self._pong(page_id, 3)",
+    "Client.access -> Client._pong -> Client._ping -> Client._fetch"
+    " -> Isp.get_page",
+)
+
+
 # ----------------------------------------------------------------------
 # verify-before-use
 # ----------------------------------------------------------------------
 
 
 class TestVerifyBeforeUse:
+    @pytest.mark.parametrize(
+        "helpers, call, chain",
+        [hop_chain(11), hop_chain(40), MUTUAL_RECURSION],
+        ids=["11-helper-chain", "40-helper-chain", "mutual-recursion"],
+    )
+    def test_taint_is_followed_through_any_helper_path(
+        self, helpers, call, chain
+    ):
+        # No round cap: a chain of any depth, or a recursive cycle, is
+        # followed to the source and reported with the whole path.
+        findings = lint(taint_program(
+            textwrap.dedent(helpers) + textwrap.dedent(f"""
+                def access(self, page_id):
+                    page = {call}
+                    self.cache.put(page_id, page)
+            """)
+        ))
+        assert [f.rule for f in findings] == ["verify-before-use"]
+        assert f"tainted via {chain};" in findings[0].message
+        assert "sink Cache.put" in findings[0].message
+
     def test_decode_to_sink_fires_with_witness_chain(self):
         findings = lint(taint_program("""
             def access(self, page_id):

@@ -12,6 +12,8 @@ import json
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.core import analyze_source
 from repro.analysis.ownership import (
     LoopBlockingRule,
@@ -315,7 +317,51 @@ BROKEN_ADMISSION_SERVER = """
 """
 
 
+def enter_chain(depth):
+    """A server whose ``_enter_00`` reaches ``_admit`` through ``depth``
+    wrappers; ``leaky`` never releases, ``clean`` always does."""
+    hops = ""
+    for i in range(depth):
+        inner = f"_enter_{i + 1:02d}" if i + 1 < depth else "_admit"
+        hops += f"""
+            def _enter_{i:02d}(self):
+                self.{inner}()
+        """
+    return f"""
+        class Server:
+            def _admit(self):  # repro: acquires(slot)
+                pass
+
+            def _release(self):  # repro: releases(slot)
+                pass
+        {hops}
+            def leaky(self, request):
+                self._enter_00()
+                return self.work(request)
+
+            def clean(self, request):
+                self._enter_00()
+                try:
+                    return self.work(request)
+                finally:
+                    self._release()
+
+            def work(self, request):
+                return request
+    """
+
+
 class TestMustReleasePairs:
+    @pytest.mark.parametrize("depth", [9, 40])
+    def test_wrapper_chain_of_any_depth_carries_the_obligation(
+        self, depth
+    ):
+        # Each wrapper holds the slot on every exit, so each becomes an
+        # acquirer in turn; no round cap stops the promotion early.
+        findings = lint(enter_chain(depth))
+        assert [f.rule for f in findings] == ["must-release"]
+        assert "Server.leaky is still held" in findings[0].message
+
     def test_admission_slot_leaks_on_exception_path(self):
         # work() may raise between _admit and _release: the classic
         # leak the try/finally discipline exists to prevent.

@@ -697,6 +697,32 @@ class TestCliAndSelfCheck:
         assert "fsync" in sync["effects"]
         assert sync["witness"]["chain"][0].endswith(".sync")
 
+    def test_non_convergence_exits_2_instead_of_clean(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # An analysis whose update is not monotone must stop the run
+        # loudly: exit 2 and the error, never "clean: no findings".
+        from repro.analysis import dataflow
+        from repro.analysis.core import solve
+
+        def flip_flop(program):
+            return solve(
+                "blocking-effect", {"repro.fixture.f": 0},
+                lambda node: [node],
+                lambda node, values: 1 - values[node],
+                lambda old, new: old <= new,
+            )
+
+        monkeypatch.setattr(dataflow, "_effects", flip_flop)
+        good = tmp_path / "src" / "repro" / "fine.py"
+        good.parent.mkdir(parents=True)
+        good.write_text("VALUE = 1\n")
+        assert main(["lint", "--strict", "--no-baseline", str(good)]) == 2
+        captured = capsys.readouterr()
+        assert "clean: no findings" not in captured.out
+        assert "'blocking-effect' did not converge" in captured.err
+        assert "repro.fixture.f" in captured.err
+
     def test_list_rules_names_all_six(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         output = capsys.readouterr().out
